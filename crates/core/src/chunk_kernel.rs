@@ -29,10 +29,15 @@
 //!
 //! The `cascade_*` methods add the **single-pass order-`q`** kernels (a
 //! length-`q` state vector per lane, advanced once per element — see
-//! [`crate::carry`]): `Sum` dispatches stride-1 cascades to const-generic
-//! register kernels for `q <= 8` and strided cascades to the vertical row
-//! form; the rotating-lane defaults cover every other case. Cascade use is
-//! gated on [`ChunkKernel::supports_cascade`] (wrapping-integer sums only).
+//! [`crate::carry`]). They keep the cascade window in registers: `Sum`
+//! dispatches stride-1 cascades to const-order kernels for `q <= 8` and
+//! lane-aligned `(q, s)` cascades up to `8 x 8` to register row sweeps;
+//! [`LinRec`] dispatches stride-1 recurrences of order `<= 8` to a
+//! two-elements-per-step register window. Other strided sums take the
+//! vertical row form, and the rotating-lane [`reference`](mod@reference) loops cover
+//! every remaining case. Cascade use is gated on
+//! [`ChunkKernel::supports_cascade`] (wrapping-integer sums and
+//! recurrences only).
 //!
 //! # Determinism contract
 //!
@@ -363,6 +368,18 @@ pub trait ChunkKernel<T: Copy>: ScanOp<T> {
     }
 }
 
+/// The rotating-lane reference loops: the fallback of every specialised
+/// cascade kernel, and the oracle the specialised kernels are tested
+/// against. Same contracts as the `cascade_*` trait methods (state shape
+/// and buffer lengths are not checked here). Not a stable API.
+#[doc(hidden)]
+pub mod reference {
+    pub use super::{
+        cascade_from_generic as cascade_from, cascade_in_place_generic as cascade_in_place,
+        cascade_totals_generic as cascade_totals, linrec_from, linrec_in_place, linrec_totals,
+    };
+}
+
 /// Shared argument validation for the fused `*_from` kernels.
 fn check_fused(src_len: usize, dst_len: usize, s: usize) {
     assert!(s > 0, "stride must be positive");
@@ -402,7 +419,8 @@ fn check_cascade_state(state_len: usize, s: usize) {
 /// replaces. Correct for any associative operator; bit-exactness of the
 /// zero seed additionally needs a true identity (the
 /// [`ChunkKernel::supports_cascade`] gate).
-fn cascade_from_generic<T: Copy, Op: ScanOp<T> + ?Sized>(
+#[doc(hidden)]
+pub fn cascade_from_generic<T: Copy, Op: ScanOp<T> + ?Sized>(
     op: &Op,
     src: &[T],
     dst: &mut [T],
@@ -428,7 +446,8 @@ fn cascade_from_generic<T: Copy, Op: ScanOp<T> + ?Sized>(
 }
 
 /// Generic rotating-lane cascade, in place.
-fn cascade_in_place_generic<T: Copy, Op: ScanOp<T> + ?Sized>(
+#[doc(hidden)]
+pub fn cascade_in_place_generic<T: Copy, Op: ScanOp<T> + ?Sized>(
     op: &Op,
     data: &mut [T],
     base: usize,
@@ -454,7 +473,8 @@ fn cascade_in_place_generic<T: Copy, Op: ScanOp<T> + ?Sized>(
 }
 
 /// Generic rotating-lane totals-only cascade.
-fn cascade_totals_generic<T: Copy, Op: ScanOp<T> + ?Sized>(
+#[doc(hidden)]
+pub fn cascade_totals_generic<T: Copy, Op: ScanOp<T> + ?Sized>(
     op: &Op,
     src: &[T],
     base: usize,
@@ -695,6 +715,83 @@ fn sum_cascade1_totals<T: ScanElement, const Q: usize>(src: &[T], state: &mut [T
     state[..Q].copy_from_slice(&a);
 }
 
+/// Advances a register-resident `Q x S` cascade window by one full row:
+/// level 0 absorbs the input row, level `i` absorbs level `i - 1`.
+#[inline(always)]
+fn rows_advance<T: ScanElement, const Q: usize, const S: usize>(st: &mut [[T; S]; Q], row: &[T; S]) {
+    for (a, &x) in st[0].iter_mut().zip(row) {
+        *a = a.add(x);
+    }
+    for i in 1..Q {
+        let (lower, upper) = st.split_at_mut(i);
+        for (a, &b) in upper[0].iter_mut().zip(&lower[i - 1]) {
+            *a = a.add(b);
+        }
+    }
+}
+
+/// Advances lane `l` of a row-major `q x s` `state` by one element and
+/// returns the lane's new top level: the partial last row of a row sweep,
+/// run on the stored window because a runtime lane index would pin the
+/// register window to the stack for the whole sweep.
+fn state_advance_lane<T: ScanElement>(state: &mut [T], s: usize, l: usize, x: T) -> T {
+    state[l] = state[l].add(x);
+    for i in (s + l..state.len()).step_by(s) {
+        state[i] = state[i].add(state[i - s]);
+    }
+    state[state.len() - s + l]
+}
+
+/// The row-major `Q x S` `state` as a window of rows: one length check,
+/// after which loads and stores of the window are whole-array copies that
+/// stay in registers.
+#[inline(always)]
+fn rows_window<T: ScanElement, const Q: usize, const S: usize>(state: &mut [T]) -> &mut [[T; S]; Q] {
+    let (rows, _) = state.as_chunks_mut::<S>();
+    rows.try_into().expect("cascade state is a Q x S window")
+}
+
+/// Inclusive vertical order-`Q` cascade over `S`-lane rows with the whole
+/// `Q x S` window held in local arrays across the sweep — the
+/// register-resident row layout of Zhang, Wang & Ross applied to the carry
+/// window itself. Per row: one load and one store per element and `Q x S`
+/// adds on registers, with no state-row store-to-load round trip on the
+/// row-to-row chain. Same per-lane association as
+/// [`sum_cascade_vertical_from`]; requires `base % S == 0`. The exclusive
+/// form is built on it by [`rows_from`].
+fn sum_rows_from<T: ScanElement, const Q: usize, const S: usize>(
+    src: &[T],
+    dst: &mut [T],
+    state: &mut [T],
+) {
+    let window = rows_window::<T, Q, S>(state);
+    let mut st = *window;
+    let (srows, stail) = src.as_chunks::<S>();
+    let (drows, dtail) = dst.as_chunks_mut::<S>();
+    for (sr, dr) in srows.iter().zip(drows) {
+        rows_advance(&mut st, sr);
+        *dr = st[Q - 1];
+    }
+    *window = st;
+    for (l, (&x, d)) in stail.iter().zip(dtail).enumerate() {
+        *d = state_advance_lane(state, S, l, x);
+    }
+}
+
+/// Totals-only form of [`sum_rows_from`].
+fn sum_rows_totals<T: ScanElement, const Q: usize, const S: usize>(src: &[T], state: &mut [T]) {
+    let window = rows_window::<T, Q, S>(state);
+    let mut st = *window;
+    let (srows, stail) = src.as_chunks::<S>();
+    for sr in srows {
+        rows_advance(&mut st, sr);
+    }
+    *window = st;
+    for (l, &x) in stail.iter().enumerate() {
+        state_advance_lane(state, S, l, x);
+    }
+}
+
 /// Vertical stride-`s` cascade: all `s` lanes advance together, one state
 /// *row* per cascade level, so every inner loop is a contiguous
 /// element-wise add over `s`-element rows — no per-element lane rotation,
@@ -823,20 +920,52 @@ fn sum_cascade_vertical_totals<T: ScanElement>(src: &[T], s: usize, state: &mut 
     }
 }
 
-/// Dispatches a stride-1 sum cascade to the const-order register kernel.
-/// Orders past 8 (beyond the paper's evaluation grid) fall back to the
-/// generic rotating kernel.
-macro_rules! sum_cascade1_dispatch {
-    ($q:expr, $kernel:ident ( $($args:expr),* ), $fallback:expr) => {
+/// Dispatches a cascade to its register-window kernel, monomorphized over
+/// a const shape so the window lives in local arrays (registers) instead
+/// of round-tripping through the caller's `state` slice per element.
+///
+/// * `cascade_dispatch!(q, kernel(args), fallback)` — stride-1 kernels,
+///   `kernel::<T, Q>` for orders `Q` in `1..=8` (the paper's evaluation
+///   grid); larger orders take `fallback`.
+/// * `cascade_dispatch!(q, s, kernel(args), fallback)` — row sweeps,
+///   `kernel::<T, Q, S>` for the `(Q, S)` shapes in the table below and
+///   `fallback` for every other shape. The table holds the shapes where
+///   the register row sweep measured faster than the `simd::vertical_*`
+///   strip kernels on `i64` (DESIGN.md §15.5): every `q` in `2..=8` by `s`
+///   in `2..=8`. Tuples past 8 and order 1 (whose running row the `simd`
+///   small-row kernels already keep in registers) take the fallback. Row
+///   sweeps are instantiated for the `u64` and `u32` lanes only
+///   ([`sum_rows`]), so the code is bounded by the table times two, not by
+///   the table times every element type in every crate that scans.
+macro_rules! cascade_dispatch {
+    ($q:expr, $kernel:ident $args:tt, $fallback:expr) => {
         match $q {
-            1 => $kernel::<T, 1>($($args),*),
-            2 => $kernel::<T, 2>($($args),*),
-            3 => $kernel::<T, 3>($($args),*),
-            4 => $kernel::<T, 4>($($args),*),
-            5 => $kernel::<T, 5>($($args),*),
-            6 => $kernel::<T, 6>($($args),*),
-            7 => $kernel::<T, 7>($($args),*),
-            8 => $kernel::<T, 8>($($args),*),
+            1 => $kernel::<T, 1> $args,
+            2 => $kernel::<T, 2> $args,
+            3 => $kernel::<T, 3> $args,
+            4 => $kernel::<T, 4> $args,
+            5 => $kernel::<T, 5> $args,
+            6 => $kernel::<T, 6> $args,
+            7 => $kernel::<T, 7> $args,
+            8 => $kernel::<T, 8> $args,
+            _ => $fallback,
+        }
+    };
+    ($q:expr, $s:expr, $kernel:ident $args:tt, $fallback:expr) => {
+        cascade_dispatch!(@rows ($q, $s), $kernel $args, $fallback;
+            2 => [2 3 4 5 6 7 8]
+            3 => [2 3 4 5 6 7 8]
+            4 => [2 3 4 5 6 7 8]
+            5 => [2 3 4 5 6 7 8]
+            6 => [2 3 4 5 6 7 8]
+            7 => [2 3 4 5 6 7 8]
+            8 => [2 3 4 5 6 7 8]
+        )
+    };
+    (@rows $shape:expr, $kernel:ident $args:tt, $fallback:expr;
+        $($q:literal => [$($s:literal)*])*) => {
+        match $shape {
+            $($(($q, $s) => $kernel::<T, $q, $s> $args,)*)*
             _ => $fallback,
         }
     };
@@ -983,13 +1112,16 @@ impl<T: ScanElement> ChunkKernel<T> for Sum {
         if !T::EXACT_ASSOC {
             cascade_from_generic(self, src, dst, base, s, state, exclusive);
         } else if s == 1 {
-            sum_cascade1_dispatch!(
+            cascade_dispatch!(
                 q,
                 sum_cascade1_from(src, dst, state, exclusive),
                 cascade_from_generic(self, src, dst, base, 1, state, exclusive)
             );
         } else if base.is_multiple_of(s) {
-            sum_cascade_vertical_from(src, dst, s, state, exclusive);
+            let sweep = Sweep::From { src, dst: &mut *dst, exclusive };
+            if !sum_rows(sweep, s, state) {
+                sum_cascade_vertical_from(src, dst, s, state, exclusive);
+            }
         } else {
             cascade_from_generic(self, src, dst, base, s, state, exclusive);
         }
@@ -1009,13 +1141,15 @@ impl<T: ScanElement> ChunkKernel<T> for Sum {
         if !T::EXACT_ASSOC {
             cascade_in_place_generic(self, data, base, s, state, exclusive);
         } else if s == 1 {
-            sum_cascade1_dispatch!(
+            cascade_dispatch!(
                 q,
                 sum_cascade1_in_place(data, state, exclusive),
                 cascade_in_place_generic(self, data, base, 1, state, exclusive)
             );
         } else if base.is_multiple_of(s) {
-            sum_cascade_vertical_in_place(data, s, state, exclusive);
+            if !sum_rows(Sweep::InPlace { data: &mut *data, exclusive }, s, state) {
+                sum_cascade_vertical_in_place(data, s, state, exclusive);
+            }
         } else {
             cascade_in_place_generic(self, data, base, s, state, exclusive);
         }
@@ -1028,13 +1162,15 @@ impl<T: ScanElement> ChunkKernel<T> for Sum {
         if !T::EXACT_ASSOC {
             cascade_totals_generic(self, src, base, s, state);
         } else if s == 1 {
-            sum_cascade1_dispatch!(
+            cascade_dispatch!(
                 q,
                 sum_cascade1_totals(src, state),
                 cascade_totals_generic(self, src, base, 1, state)
             );
         } else if base.is_multiple_of(s) {
-            sum_cascade_vertical_totals(src, s, state);
+            if !sum_rows(Sweep::Totals { src }, s, state) {
+                sum_cascade_vertical_totals(src, s, state);
+            }
         } else {
             cascade_totals_generic(self, src, base, s, state);
         }
@@ -1076,7 +1212,8 @@ fn sum_in_place_blocked<T: ScanElement>(data: &mut [T]) {
 /// value is `y` (inclusive) or `pred` (exclusive) — the recurrence
 /// analogue of the sum cascade's pre-update top row, which reduces to the
 /// exclusive prefix sum for `coeffs == [1]`.
-fn linrec_from<T: ScanElement>(
+#[doc(hidden)]
+pub fn linrec_from<T: ScanElement>(
     coeffs: &[T],
     src: &[T],
     dst: &mut [T],
@@ -1106,7 +1243,8 @@ fn linrec_from<T: ScanElement>(
 }
 
 /// In-place form of [`linrec_from`].
-fn linrec_in_place<T: ScanElement>(
+#[doc(hidden)]
+pub fn linrec_in_place<T: ScanElement>(
     coeffs: &[T],
     data: &mut [T],
     base: usize,
@@ -1137,7 +1275,8 @@ fn linrec_in_place<T: ScanElement>(
 
 /// Totals-only form of [`linrec_from`]: advances the output window without
 /// writing outputs (the single-pass protocol's first sweep).
-fn linrec_totals<T: ScanElement>(coeffs: &[T], src: &[T], base: usize, s: usize, state: &mut [T]) {
+#[doc(hidden)]
+pub fn linrec_totals<T: ScanElement>(coeffs: &[T], src: &[T], base: usize, s: usize, state: &mut [T]) {
     let q = coeffs.len();
     let mut lane = base % s;
     for &x in src {
@@ -1157,6 +1296,122 @@ fn linrec_totals<T: ScanElement>(coeffs: &[T], src: &[T], base: usize, s: usize,
     }
 }
 
+/// Register window of a stride-1 order-`Q` recurrence: the coefficients
+/// `c`, the two-step coefficients `d`, and the last `Q` outputs `w` (most
+/// recent first) — all in local arrays, so no per-element coefficient-slice
+/// loop and no store-to-load round trip through `state`.
+///
+/// Sums are regrouped against [`linrec_from`]'s left fold, which is exact:
+/// [`LinRec`] exists only over exact rings (wrapping integers). For the
+/// same reason the exclusive output `pred` is recovered as `y - x`.
+struct Linrec1<T, const Q: usize> {
+    c: [T; Q],
+    d: [T; Q],
+    w: [T; Q],
+}
+
+impl<T: ScanElement, const Q: usize> Linrec1<T, Q> {
+    #[inline(always)]
+    fn new(coeffs: &[T], state: &[T]) -> Self {
+        let mut c = [T::ZERO; Q];
+        c.copy_from_slice(coeffs);
+        let mut w = [T::ZERO; Q];
+        w.copy_from_slice(&state[..Q]);
+        // y_{i+1} = x_{i+1} + a_1 x_i + sum_j (a_1 a_{j+1} + a_{j+2}) w_j.
+        let d = std::array::from_fn(|j| {
+            let next = if j + 1 < Q { c[j + 1] } else { T::ZERO };
+            c[0].mul(c[j]).add(next)
+        });
+        Self { c, d, w }
+    }
+
+    /// One element: returns its output and shifts it into the window.
+    #[inline(always)]
+    fn step(&mut self, x: T) -> T {
+        let mut y = x;
+        for j in (0..Q).rev() {
+            y = y.add(self.c[j].mul(self.w[j]));
+        }
+        for j in (1..Q).rev() {
+            self.w[j] = self.w[j - 1];
+        }
+        self.w[0] = y;
+        y
+    }
+
+    /// Two elements from the same window: the second output is expanded
+    /// through the first (`d`), so both hang off the window by one
+    /// multiply-add and the dependency chain advances two elements per
+    /// multiply latency instead of one.
+    #[inline(always)]
+    fn pair(&mut self, x0: T, x1: T) -> (T, T) {
+        let mut y0 = x0;
+        let mut y1 = x1.add(self.c[0].mul(x0));
+        // Oldest terms first: the products of `w[0]`, the previous pair's
+        // last output, are added last.
+        for j in (0..Q).rev() {
+            y0 = y0.add(self.c[j].mul(self.w[j]));
+            y1 = y1.add(self.d[j].mul(self.w[j]));
+        }
+        for j in (2..Q).rev() {
+            self.w[j] = self.w[j - 2];
+        }
+        if Q > 1 {
+            self.w[1] = y0;
+        }
+        self.w[0] = y1;
+        (y0, y1)
+    }
+}
+
+/// Stride-1 order-`Q` [`linrec_from`] on a [`Linrec1`] register window,
+/// two elements per step.
+#[inline]
+fn linrec1_from<T: ScanElement, const Q: usize>(
+    coeffs: &[T],
+    src: &[T],
+    dst: &mut [T],
+    state: &mut [T],
+    exclusive: bool,
+) {
+    let mut r = Linrec1::<T, Q>::new(coeffs, state);
+    let mut spairs = src.chunks_exact(2);
+    let mut dpairs = dst.chunks_exact_mut(2);
+    if exclusive {
+        for (x, d) in (&mut spairs).zip(&mut dpairs) {
+            let (y0, y1) = r.pair(x[0], x[1]);
+            d[0] = y0.sub(x[0]);
+            d[1] = y1.sub(x[1]);
+        }
+    } else {
+        for (x, d) in (&mut spairs).zip(&mut dpairs) {
+            let (y0, y1) = r.pair(x[0], x[1]);
+            d[0] = y0;
+            d[1] = y1;
+        }
+    }
+    let tail = (spairs.remainder().first(), dpairs.into_remainder().first_mut());
+    if let (Some(&x), Some(d)) = tail {
+        let y = r.step(x);
+        *d = if exclusive { y.sub(x) } else { y };
+    }
+    state[..Q].copy_from_slice(&r.w);
+}
+
+/// Totals-only form of [`linrec1_from`].
+#[inline]
+fn linrec1_totals<T: ScanElement, const Q: usize>(coeffs: &[T], src: &[T], state: &mut [T]) {
+    let mut r = Linrec1::<T, Q>::new(coeffs, state);
+    let mut pairs = src.chunks_exact(2);
+    for x in &mut pairs {
+        r.pair(x[0], x[1]);
+    }
+    if let Some(&x) = pairs.remainder().first() {
+        r.step(x);
+    }
+    state[..Q].copy_from_slice(&r.w);
+}
+
 /// Validates a recurrence state buffer against the coefficient order: the
 /// `q x s` window must hold exactly one row per coefficient.
 fn check_recurrence_state(state_len: usize, s: usize, order: usize) {
@@ -1166,6 +1421,218 @@ fn check_recurrence_state(state_len: usize, s: usize, order: usize) {
         order,
         "recurrence state must hold exactly `order` rows per lane"
     );
+}
+
+// --- Register-window sweeps, compiled once per lane width -----------------
+
+/// One cascade sweep over a span, in the three forms the `cascade_*`
+/// methods take.
+enum Sweep<'a, T> {
+    From {
+        src: &'a [T],
+        dst: &'a mut [T],
+        exclusive: bool,
+    },
+    InPlace {
+        data: &'a mut [T],
+        exclusive: bool,
+    },
+    Totals {
+        src: &'a [T],
+    },
+}
+
+/// Whether `T` and `U` are primitive wrapping integers of one size and
+/// alignment (the [`ScanElement::IS_WRAPPING_INT`] gate the `simd`
+/// kernels rely on): every bit pattern is a value of both, and wrapping
+/// `add`/`mul` give the same bits in both.
+fn same_lanes<T: ScanElement, U: ScanElement>() -> bool {
+    T::IS_WRAPPING_INT
+        && U::IS_WRAPPING_INT
+        && std::mem::size_of::<T>() == std::mem::size_of::<U>()
+        && std::mem::align_of::<T>() == std::mem::align_of::<U>()
+}
+
+/// `v` as a slice of the lane type `U`, or `None` unless [`same_lanes`].
+fn lanes<T: ScanElement, U: ScanElement>(v: &[T]) -> Option<&[U]> {
+    // SAFETY: `same_lanes` — identical size, alignment and valid bit
+    // patterns, so the cast slice covers exactly the same bytes.
+    same_lanes::<T, U>().then(|| unsafe { std::slice::from_raw_parts(v.as_ptr().cast(), v.len()) })
+}
+
+/// Mutable form of [`lanes`].
+fn lanes_mut<T: ScanElement, U: ScanElement>(v: &mut [T]) -> Option<&mut [U]> {
+    // SAFETY: as in `lanes`; the result reborrows `v` exclusively.
+    same_lanes::<T, U>()
+        .then(|| unsafe { std::slice::from_raw_parts_mut(v.as_mut_ptr().cast(), v.len()) })
+}
+
+impl<'a, T: ScanElement> Sweep<'a, T> {
+    /// The same sweep over the lane type `U`, or `None` unless
+    /// [`same_lanes`].
+    fn lanes<U: ScanElement>(self) -> Option<Sweep<'a, U>> {
+        Some(match self {
+            Sweep::From { src, dst, exclusive } => Sweep::From {
+                src: lanes(src)?,
+                dst: lanes_mut(dst)?,
+                exclusive,
+            },
+            Sweep::InPlace { data, exclusive } => Sweep::InPlace {
+                data: lanes_mut(data)?,
+                exclusive,
+            },
+            Sweep::Totals { src } => Sweep::Totals { src: lanes(src)? },
+        })
+    }
+}
+
+/// Runs `sweep` as a register row sweep ([`sum_rows_from`] and its
+/// forms) over `s`-lane rows if `(q, s)` is in the shape table and `T` is
+/// a 4- or 8-byte wrapping integer; returns `false`, having done nothing,
+/// otherwise. Requires `base % s == 0`.
+///
+/// The kernels run on the element's unsigned twin through the
+/// non-generic [`sum_rows_u64`] / [`sum_rows_u32`], so each shape is
+/// compiled once, in this crate, instead of once per element type in
+/// every crate that scans.
+fn sum_rows<T: ScanElement>(sweep: Sweep<'_, T>, s: usize, state: &mut [T]) -> bool {
+    match std::mem::size_of::<T>() {
+        8 => match (sweep.lanes(), lanes_mut(state)) {
+            (Some(sweep), Some(state)) => sum_rows_u64(sweep, s, state),
+            _ => false,
+        },
+        4 => match (sweep.lanes(), lanes_mut(state)) {
+            (Some(sweep), Some(state)) => sum_rows_u32(sweep, s, state),
+            _ => false,
+        },
+        _ => false,
+    }
+}
+
+fn sum_rows_u64(sweep: Sweep<'_, u64>, s: usize, state: &mut [u64]) -> bool {
+    sum_rows_lanes(sweep, s, state)
+}
+
+fn sum_rows_u32(sweep: Sweep<'_, u32>, s: usize, state: &mut [u32]) -> bool {
+    sum_rows_lanes(sweep, s, state)
+}
+
+/// Elements an in-place register sweep copies out per block.
+const BOUNCE: usize = 512;
+
+/// Runs the out-of-place sweep `from` over `data` in place, through a
+/// stack bounce buffer a whole number of `s`-element rows (`s <= 8` here)
+/// at a time, so
+/// one kernel per shape serves both forms (which halves the code the
+/// shape tables instantiate). Stops at the first `false`, which `from`
+/// returns only on the first block, before writing anything.
+fn in_place_via<T: ScanElement>(
+    data: &mut [T],
+    s: usize,
+    mut from: impl FnMut(&[T], &mut [T]) -> bool,
+) -> bool {
+    let mut buf = [T::ZERO; BOUNCE];
+    for block in data.chunks_mut(BOUNCE / s * s) {
+        let src = &mut buf[..block.len()];
+        src.copy_from_slice(block);
+        if !from(src, block) {
+            return false;
+        }
+    }
+    true
+}
+
+fn sum_rows_lanes<T: ScanElement>(sweep: Sweep<'_, T>, s: usize, state: &mut [T]) -> bool {
+    if !cascade_dispatch!(state.len() / s, s, in_row_table(state), false) {
+        return false;
+    }
+    match sweep {
+        Sweep::From { src, dst, exclusive } => rows_from(src, dst, s, state, exclusive),
+        Sweep::InPlace { data, exclusive } => {
+            in_place_via(data, s, |src, dst| {
+                rows_from(src, dst, s, state, exclusive);
+                true
+            });
+        }
+        Sweep::Totals { src } => {
+            let q = state.len() / s;
+            cascade_dispatch!(q, s, sum_rows_totals(src, state), unreachable!("shape is tabled"))
+        }
+    }
+    true
+}
+
+/// Whether a `Q x S` `state` window is in the row-sweep table: dispatch
+/// reaches this only for tabled shapes.
+fn in_row_table<T, const Q: usize, const S: usize>(_state: &[T]) -> bool {
+    true
+}
+
+/// The from sweep of a tabled shape, either kind. The exclusive form is
+/// the inclusive sweep shifted by one row: exclusive output `j` is its
+/// lane's top level before element `j`, which is the initial top row for
+/// `j < s` and the inclusive output of element `j - s` after that. The
+/// last row's inputs then only advance the window.
+fn rows_from<T: ScanElement>(src: &[T], dst: &mut [T], s: usize, state: &mut [T], exclusive: bool) {
+    let q = state.len() / s;
+    if !exclusive {
+        cascade_dispatch!(q, s, sum_rows_from(src, dst, state), unreachable!("shape is tabled"));
+        return;
+    }
+    let head = s.min(src.len());
+    let body = src.len() - head;
+    dst[..head].copy_from_slice(&state[(q - 1) * s..][..head]);
+    let (src, last) = src.split_at(body);
+    cascade_dispatch!(
+        q,
+        s,
+        sum_rows_from(src, &mut dst[head..], state),
+        unreachable!("shape is tabled")
+    );
+    cascade_totals_generic(&Sum, last, body, s, state);
+}
+
+/// Runs `sweep` as a stride-1 recurrence on a [`Linrec1`] register window
+/// if the order is at most 8 and `T` is a 4- or 8-byte wrapping integer;
+/// returns `false`, having done nothing, otherwise. Compiled once per lane
+/// width, as [`sum_rows`].
+fn linrec1<T: ScanElement>(coeffs: &[T], sweep: Sweep<'_, T>, state: &mut [T]) -> bool {
+    match std::mem::size_of::<T>() {
+        8 => match (lanes(coeffs), sweep.lanes(), lanes_mut(state)) {
+            (Some(coeffs), Some(sweep), Some(state)) => linrec1_u64(coeffs, sweep, state),
+            _ => false,
+        },
+        4 => match (lanes(coeffs), sweep.lanes(), lanes_mut(state)) {
+            (Some(coeffs), Some(sweep), Some(state)) => linrec1_u32(coeffs, sweep, state),
+            _ => false,
+        },
+        _ => false,
+    }
+}
+
+fn linrec1_u64(coeffs: &[u64], sweep: Sweep<'_, u64>, state: &mut [u64]) -> bool {
+    linrec1_lanes(coeffs, sweep, state)
+}
+
+fn linrec1_u32(coeffs: &[u32], sweep: Sweep<'_, u32>, state: &mut [u32]) -> bool {
+    linrec1_lanes(coeffs, sweep, state)
+}
+
+fn linrec1_lanes<T: ScanElement>(coeffs: &[T], sweep: Sweep<'_, T>, state: &mut [T]) -> bool {
+    let q = coeffs.len();
+    match sweep {
+        Sweep::From { src, dst, exclusive } => {
+            cascade_dispatch!(q, linrec1_from(coeffs, src, dst, state, exclusive), return false)
+        }
+        Sweep::InPlace { data, exclusive } => {
+            return in_place_via(data, 1, |src, dst| {
+                cascade_dispatch!(q, linrec1_from(coeffs, src, dst, state, exclusive), return false);
+                true
+            });
+        }
+        Sweep::Totals { src } => cascade_dispatch!(q, linrec1_totals(coeffs, src, state), return false),
+    }
+    true
 }
 
 impl<T: ScanElement> ChunkKernel<T> for LinRec<T> {
@@ -1197,8 +1664,11 @@ impl<T: ScanElement> ChunkKernel<T> for LinRec<T> {
         exclusive: bool,
     ) {
         check_fused(src.len(), dst.len(), s);
-        check_recurrence_state(state.len(), s, self.coeffs().len());
-        linrec_from(self.coeffs(), src, dst, base, s, state, exclusive);
+        let c = self.coeffs();
+        check_recurrence_state(state.len(), s, c.len());
+        if s > 1 || !linrec1(c, Sweep::From { src, dst: &mut *dst, exclusive }, state) {
+            linrec_from(c, src, dst, base, s, state, exclusive);
+        }
     }
 
     fn cascade_scan_in_place(
@@ -1210,14 +1680,20 @@ impl<T: ScanElement> ChunkKernel<T> for LinRec<T> {
         exclusive: bool,
     ) {
         assert!(s > 0, "stride must be positive");
-        check_recurrence_state(state.len(), s, self.coeffs().len());
-        linrec_in_place(self.coeffs(), data, base, s, state, exclusive);
+        let c = self.coeffs();
+        check_recurrence_state(state.len(), s, c.len());
+        if s > 1 || !linrec1(c, Sweep::InPlace { data: &mut *data, exclusive }, state) {
+            linrec_in_place(c, data, base, s, state, exclusive);
+        }
     }
 
     fn cascade_totals(&self, src: &[T], base: usize, s: usize, state: &mut [T]) {
         assert!(s > 0, "stride must be positive");
-        check_recurrence_state(state.len(), s, self.coeffs().len());
-        linrec_totals(self.coeffs(), src, base, s, state);
+        let c = self.coeffs();
+        check_recurrence_state(state.len(), s, c.len());
+        if s > 1 || !linrec1(c, Sweep::Totals { src }, state) {
+            linrec_totals(c, src, base, s, state);
+        }
     }
 }
 

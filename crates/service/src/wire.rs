@@ -38,6 +38,11 @@ use crate::{ScanKind, ScanOutput, ScanRequest};
 /// past any sane micro-request).
 pub const MAX_FRAME: usize = 64 << 20;
 
+/// Most a frame read reserves before its payload arrives. Larger payloads
+/// grow the buffer as their bytes are received, so a declared length costs
+/// memory only once the client has actually sent it.
+const FRAME_INITIAL_CAPACITY: usize = 64 << 10;
+
 /// Request opcode: execute a scan.
 pub const OP_SCAN: u8 = 0;
 /// Request opcode: ask the server to shut down gracefully.
@@ -427,7 +432,9 @@ pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> std::io::Result<(
 
 /// Reads one length-prefixed frame. `Ok(None)` on a clean EOF at a frame
 /// boundary (client hung up); oversized declarations fail without
-/// allocating.
+/// allocating, and a frame that ends before its declared length fails with
+/// `UnexpectedEof`. Memory grows with the bytes received, not with the
+/// declared length: at most 64 KiB is reserved up front.
 pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
     match stream.read_exact(&mut len) {
@@ -442,8 +449,14 @@ pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
             WireError::Oversized(len),
         ));
     }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(FRAME_INITIAL_CAPACITY));
+    stream.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            WireError::Truncated,
+        ));
+    }
     Ok(Some(payload))
 }
 

@@ -1,27 +1,55 @@
-//! Steady-state allocation discipline of [`CpuScanner::scan_into`]: after
-//! the first scan has grown the scanner's arena, further scans must not
-//! allocate per chunk. A counting global allocator measures exact
-//! allocation counts; everything runs in a single `#[test]` so parallel
-//! test threads cannot contaminate the counter.
+//! Steady-state allocation discipline of [`CpuScanner::scan_into`], plan
+//! sessions and the adaptive feedback path: once warmed, none of them may
+//! allocate per scan or per chunk.
+//!
+//! A counting global allocator measures exact allocation counts. `cargo
+//! test` runs the tests of this file on parallel threads, so the count is
+//! kept per thread (a const-initialised `thread_local!` inside the
+//! allocator): a test that scans on its own thread sees exactly its own
+//! allocations, whatever the other tests do meanwhile. The one check that
+//! counts allocations on worker threads (chunk scaling of the multi-worker
+//! engine) reads a process-wide counter instead, and holds [`QUIET`] for
+//! writing while it measures; every other test body holds it for reading,
+//! so no other test scans inside that window. What the test harness
+//! itself allocates there falls within that check's fixed slack.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{RwLock, RwLockReadGuard};
 
 use sam_core::cpu::CpuScanner;
-use sam_core::op::{Max, Sum};
+use sam_core::op::{LinRec, Max, Sum};
 use sam_core::plan::{PlanHint, ScanPlan};
 use sam_core::scanner::Engine;
 use sam_core::ScanSpec;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Const-initialised and
+    /// without a destructor, so reading it never allocates and it stays
+    /// readable while the thread exits.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates verbatim to `System`; the counter has no effect on the
-// returned memory.
+/// Allocations made by every thread.
+static ALL_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Read-held by each test body, write-held by the process-wide
+/// measurement (see the module docs).
+static QUIET: RwLock<()> = RwLock::new(());
+
+fn count_alloc() {
+    ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: delegates verbatim to `System`; the counters have no effect on
+// the returned memory, and updating them never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,7 +58,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -38,10 +66,25 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Holds off the process-wide measurement for the rest of a test body.
+fn shared() -> RwLockReadGuard<'static, ()> {
+    QUIET.read().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Allocations the calling thread makes while running `f`.
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = THREAD_ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    THREAD_ALLOCS.with(Cell::get) - before
+}
+
+/// Allocations any thread makes while running `f`, with every other test
+/// of this file held off.
+fn all_allocs_during(f: impl FnOnce()) -> u64 {
+    let _quiet = QUIET.write().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let before = ALL_ALLOCS.load(Ordering::Relaxed);
+    f();
+    ALL_ALLOCS.load(Ordering::Relaxed) - before
 }
 
 #[test]
@@ -55,25 +98,29 @@ fn scan_into_does_not_allocate_per_chunk() {
     // needs no scratch at all once `out` exists.
     let serial_scanner = CpuScanner::new(1);
     serial_scanner.scan_into(&input, &mut out, &Sum, &spec); // warm-up
-    let single = allocs_during(|| {
-        for _ in 0..5 {
-            serial_scanner.scan_into(&input, &mut out, &Sum, &spec);
-        }
-    });
+    let single = {
+        let _shared = shared();
+        allocs_during(|| {
+            for _ in 0..5 {
+                serial_scanner.scan_into(&input, &mut out, &Sum, &spec);
+            }
+        })
+    };
     assert_eq!(single, 0, "single-worker steady state must be allocation-free");
     assert_eq!(out, expect);
 
     // Multi-worker path: compare a few-chunks geometry against a
     // many-chunks geometry on the same input. Worker spawn and per-worker
     // scratch may allocate a bounded number of times per scan, but nothing
-    // may scale with the chunk count.
+    // may scale with the chunk count. Workers allocate on their own
+    // threads, so this counts process-wide.
     let few = CpuScanner::new(3).with_chunk_elems(32_768); // 2 chunks
     let many = CpuScanner::new(3).with_chunk_elems(32); // 2048 chunks
     few.scan_into(&input, &mut out, &Sum, &spec); // warm-up (grows arena)
     many.scan_into(&input, &mut out, &Sum, &spec); // warm-up (grows arena)
 
-    let allocs_few = allocs_during(|| few.scan_into(&input, &mut out, &Sum, &spec));
-    let allocs_many = allocs_during(|| many.scan_into(&input, &mut out, &Sum, &spec));
+    let allocs_few = all_allocs_during(|| few.scan_into(&input, &mut out, &Sum, &spec));
+    let allocs_many = all_allocs_during(|| many.scan_into(&input, &mut out, &Sum, &spec));
     assert_eq!(out, expect);
 
     // 2048 chunks vs 2 chunks: any per-chunk allocation would add ≥ 2046.
@@ -93,6 +140,7 @@ fn scan_into_does_not_allocate_per_chunk() {
 /// nothing either.
 #[test]
 fn session_steady_state_is_allocation_free() {
+    let _shared = shared();
     let spec = ScanSpec::inclusive().with_order(2).unwrap().with_tuple(3).unwrap();
     let input: Vec<i64> = (0..32_768).map(|i| (i % 613) - 300).collect();
 
@@ -158,6 +206,7 @@ fn session_steady_state_is_allocation_free() {
 #[test]
 fn converged_adaptive_feedback_is_allocation_free() {
     use sam_core::adapt::DriverPhase;
+    let _shared = shared();
 
     let spec = ScanSpec::inclusive().with_order(2).unwrap();
     let input: Vec<i64> = (0..32_768).map(|i| (i % 811) - 400).collect();
@@ -192,4 +241,26 @@ fn converged_adaptive_feedback_is_allocation_free() {
         "converged adaptive feedback must be allocation-free"
     );
     assert_eq!(out, sam_core::serial::scan(&input, &Sum, &spec));
+}
+
+/// Recurrence sessions are allocation-free in steady state: a warmed
+/// `ScanSession<i64, LinRec<i64>>::scan_into` on a single-worker plan
+/// runs the stride-1 register-window kernel with its state on the stack.
+#[test]
+fn linrec_session_scan_into_is_allocation_free() {
+    let _shared = shared();
+    let spec = ScanSpec::inclusive().with_order(2).unwrap();
+    let op = LinRec::new(vec![3i64, -1]).unwrap();
+    let input: Vec<i64> = (0..32_768).map(|i| (i % 409) - 200).collect();
+    let mut out = vec![0i64; input.len()];
+    let plan = ScanPlan::new(spec, Engine::Cpu(CpuScanner::new(1)), PlanHint::default());
+    let session = plan.session::<i64, _>(op.clone());
+    session.scan_into(&input, &mut out); // warm-up
+    let steady = allocs_during(|| {
+        for _ in 0..5 {
+            session.scan_into(&input, &mut out);
+        }
+    });
+    assert_eq!(steady, 0, "recurrence session scan_into steady state must be allocation-free");
+    assert_eq!(out, sam_core::serial::scan(&input, &op, &spec));
 }
