@@ -118,6 +118,53 @@ pub fn advance_weights(dist: u64, q: usize) -> Vec<u64> {
         .collect()
 }
 
+/// The basis change from `w`-column cascade totals to stride-1 cascade
+/// totals, order `q`: the table the publish sweep's column reduction
+/// ([`crate::simd::sum_totals`]) multiplies its `q x w` column totals by.
+///
+/// A zero-seeded order-`q` cascade over `L = w * U` elements ends with
+/// order-`(j + 1)` total `T_j = sum_t x_t * C(L - 1 - t + j, j)`. Run the
+/// same cascade over `w`-element rows instead (column `c` sees elements
+/// `w * u + c`), and column `c` ends with
+/// `col_k[c] = sum_u x_{w u + c} * C(U - 1 - u + k, k)`. Writing
+/// `t = w * u + c`, `v = U - 1 - u` and `r = w - 1 - c`, the stride-1 weight
+/// is `C(w v + r + j, j)`, a degree-`j` polynomial in `v`, so it has a
+/// unique expansion `sum_{k <= j} A[j][k][r] * C(v + k, k)` in the column
+/// weights. Sampling at `v = 0..q` gives `f = P * A[j][..][r]` with the
+/// symmetric Pascal matrix `P[v][k] = C(v + k, k)`, which has determinant 1:
+/// `P = L L^T` for the lower Pascal matrix `L[i][k] = C(i, k)`, whose
+/// inverse is `(-1)^(i - k) C(i, k)`. So `A = P^-1 f` is integral, the
+/// identity holds over the integers, and the table is exact in every
+/// `Z/2^n`. Then `T_j = sum_{k <= j} sum_c A[j][k][w - 1 - c] * col_k[c]`.
+///
+/// Layout: entry `(j * q + k) * w + c` is `A[j][k][w - 1 - c]` (already
+/// indexed by column), zero for `k > j`.
+pub fn column_basis(q: usize, w: usize) -> Vec<u64> {
+    let sign = |e: usize| if e.is_multiple_of(2) { 1u64 } else { u64::MAX };
+    let binom = |m: usize, d: usize| binomial_mod_2_64(m as u128, d as u32);
+    // P^-1[a][b] = sum_{i >= max(a, b)} (-1)^(a + b) C(i, a) C(i, b).
+    let mut p_inv = vec![0u64; q * q];
+    for a in 0..q {
+        for b in 0..q {
+            let sum = (a.max(b)..q).fold(0u64, |acc, i| {
+                acc.wrapping_add(binom(i, a).wrapping_mul(binom(i, b)))
+            });
+            p_inv[a * q + b] = sum.wrapping_mul(sign(a + b));
+        }
+    }
+    let mut table = vec![0u64; q * q * w];
+    for j in 0..q {
+        for r in 0..w {
+            let f: Vec<u64> = (0..q).map(|v| binom(w * v + r + j, j)).collect();
+            for k in 0..=j {
+                let a = (0..q).fold(0u64, |acc, v| acc.wrapping_add(p_inv[k * q + v].wrapping_mul(f[v])));
+                table[(j * q + k) * w + (w - 1 - r)] = a;
+            }
+        }
+    }
+    table
+}
+
 /// The family of whole-chunk carry-transfer matrices an operator's state
 /// composes under — one semigroup (`M_a ∘ M_b = M_{a+b}`) per operator
 /// family, materialized at the chunk distances a plan needs.
@@ -403,6 +450,34 @@ impl<T: Copy> CarryPlan<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The column basis reproduces the stride-1 weight at row distances far
+    /// past the `q` sample points, and is lower triangular in `(j, k)`.
+    #[test]
+    fn column_basis_changes_column_weights_to_stride1_weights() {
+        for w in [2usize, 4, 8, 16] {
+            for q in 1..=8usize {
+                let table = column_basis(q, w);
+                for j in 0..q {
+                    for c in 0..w {
+                        let r = w - 1 - c;
+                        for k in j + 1..q {
+                            assert_eq!(table[(j * q + k) * w + c], 0, "w={w} q={q} j={j} k={k}");
+                        }
+                        for v in [0u64, 1, 7, 1000, 1 << 40] {
+                            let expect =
+                                binomial_mod_2_64(u128::from(v) * w as u128 + (r + j) as u128, j as u32);
+                            let got = (0..=j).fold(0u64, |acc, k| {
+                                let basis = binomial_mod_2_64(u128::from(v) + k as u128, k as u32);
+                                acc.wrapping_add(table[(j * q + k) * w + c].wrapping_mul(basis))
+                            });
+                            assert_eq!(got, expect, "w={w} q={q} j={j} c={c} v={v}");
+                        }
+                    }
+                }
+            }
+        }
+    }
     use crate::config::ScanSpec;
     use crate::op::Sum;
 

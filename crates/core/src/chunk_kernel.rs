@@ -35,7 +35,12 @@
 //! [`LinRec`] dispatches stride-1 recurrences of order `<= 8` to a
 //! two-elements-per-step register window. Other strided sums take the
 //! vertical row form, and the rotating-lane [`reference`](mod@reference) loops cover
-//! every remaining case. Cascade use is gated on
+//! every remaining case. Totals-only sweeps of stride-1 spans of at least
+//! 512 elements reduce instead of scanning where the kernel family allows:
+//! sums through [`crate::simd::sum_totals`] (a vector column cascade and a
+//! constant basis change), recurrences through
+//! [`ChunkKernel::publish_totals`] and [`crate::simd::linrec_totals`] (dot
+//! products against an [`ImpulseTable`]). Cascade use is gated on
 //! [`ChunkKernel::supports_cascade`] (wrapping-integer sums and
 //! recurrences only).
 //!
@@ -48,12 +53,18 @@
 //! serial oracle — the deterministic-float property of Section 3.1 is
 //! preserved per engine, not just per run.
 
-use crate::element::{IntElement, ScanElement};
+use crate::element::{is_wrapping_int, IntElement, ScanElement};
 use crate::op::{And, FnOp, LinRec, Max, Min, Or, Prod, ScanOp, Sum, Xor};
 use crate::segmented::{Element32, Packed32, SegmentedOp};
 
 /// Number of elements the unrolled in-register kernel processes per block.
 const BLOCK: usize = 16;
+
+/// Shortest stride-1 span the totals sweeps hand to the vector publish
+/// reductions ([`crate::simd::sum_totals`], [`crate::simd::linrec_totals`]),
+/// which keeps their fixed cost of mapping back to stride-1 totals (up to
+/// `q * q * w` multiply-adds) small against the span.
+const REDUCTION_MIN_ELEMS: usize = 512;
 
 /// Chunk-level scan kernels with operator/element/stride specialization.
 ///
@@ -336,6 +347,25 @@ pub trait ChunkKernel<T: Copy>: ScanOp<T> {
         assert!(s > 0, "stride must be positive");
         check_cascade_state(state.len(), s);
         cascade_totals_generic(self, src, base, s, state);
+    }
+
+    /// Prepares `table` for [`ChunkKernel::publish_totals`] over a scan
+    /// whose full chunks hold `chunk_elems` elements at stride `s`, and
+    /// returns whether it had to rebuild it. The multi-worker engine calls
+    /// this once per scan, before its workers start; the default keeps no
+    /// table.
+    #[doc(hidden)]
+    fn prepare_publish(&self, _table: &mut ImpulseTable<T>, _chunk_elems: usize, _s: usize) -> bool {
+        false
+    }
+
+    /// The multi-worker engine's publish sweep:
+    /// [`ChunkKernel::cascade_totals`] of one chunk of at most the
+    /// `chunk_elems` the engine prepared `table` for
+    /// ([`ChunkKernel::prepare_publish`]). The default ignores `table`.
+    #[doc(hidden)]
+    fn publish_totals(&self, src: &[T], base: usize, s: usize, state: &mut [T], _table: &ImpulseTable<T>) {
+        self.cascade_totals(src, base, s, state);
     }
 
     /// Rewrites a *pre-carry* inclusively-scanned chunk into its exclusive
@@ -1162,11 +1192,17 @@ impl<T: ScanElement> ChunkKernel<T> for Sum {
         if !T::EXACT_ASSOC {
             cascade_totals_generic(self, src, base, s, state);
         } else if s == 1 {
-            cascade_dispatch!(
-                q,
-                sum_cascade1_totals(src, state),
-                cascade_totals_generic(self, src, base, 1, state)
-            );
+            // The vector column reduction, on spans long enough to repay
+            // its fixed basis change.
+            let reduced = src.len() >= REDUCTION_MIN_ELEMS
+                && crate::simd::sum_totals(crate::isa::resolved(), src, state);
+            if !reduced {
+                cascade_dispatch!(
+                    q,
+                    sum_cascade1_totals(src, state),
+                    cascade_totals_generic(self, src, base, 1, state)
+                );
+            }
         } else if base.is_multiple_of(s) {
             if !sum_rows(Sweep::Totals { src }, s, state) {
                 sum_cascade_vertical_totals(src, s, state);
@@ -1443,12 +1479,12 @@ enum Sweep<'a, T> {
 }
 
 /// Whether `T` and `U` are primitive wrapping integers of one size and
-/// alignment (the [`ScanElement::IS_WRAPPING_INT`] gate the `simd`
-/// kernels rely on): every bit pattern is a value of both, and wrapping
+/// alignment (the [`is_wrapping_int`] gate the `simd` kernels rely
+/// on): every bit pattern is a value of both, and wrapping
 /// `add`/`mul` give the same bits in both.
 fn same_lanes<T: ScanElement, U: ScanElement>() -> bool {
-    T::IS_WRAPPING_INT
-        && U::IS_WRAPPING_INT
+    is_wrapping_int::<T>()
+        && is_wrapping_int::<U>()
         && std::mem::size_of::<T>() == std::mem::size_of::<U>()
         && std::mem::align_of::<T>() == std::mem::align_of::<U>()
 }
@@ -1635,6 +1671,70 @@ fn linrec1_lanes<T: ScanElement>(coeffs: &[T], sweep: Sweep<'_, T>, state: &mut 
     true
 }
 
+/// The reversed impulse response of a stride-1 linear recurrence over one
+/// chunk length: the table the multi-worker engine's [`LinRec`] publish
+/// sweep reduces each chunk against ([`crate::simd::linrec_totals`]).
+///
+/// For coefficients `c` the impulse response is `g(0) = 1`,
+/// `g(m) = sum_j c_j g(m - 1 - j)`; the table holds `g(N - 1 - i)` at `i`
+/// for a chunk of `N` elements, followed by `order - 1` zeros, so every
+/// state row of every span of at most `N` elements is one contiguous dot
+/// product against it. Kept grow-only in the engine's arena and keyed by
+/// the exact coefficients and chunk length, so a warmed scanner neither
+/// rebuilds nor reallocates it.
+#[derive(Debug)]
+pub struct ImpulseTable<T> {
+    coeffs: Vec<T>,
+    chunk: usize,
+    rev: Vec<T>,
+}
+
+impl<T> Default for ImpulseTable<T> {
+    fn default() -> Self {
+        ImpulseTable {
+            coeffs: Vec::new(),
+            chunk: 0,
+            rev: Vec::new(),
+        }
+    }
+}
+
+impl<T: ScanElement> ImpulseTable<T> {
+    /// Builds the table for `coeffs` over chunks of `chunk` elements
+    /// unless it already holds exactly that; returns whether it rebuilt.
+    pub fn prepare(&mut self, coeffs: &[T], chunk: usize) -> bool {
+        if self.chunk == chunk && self.coeffs == coeffs {
+            return false;
+        }
+        let k = coeffs.len();
+        self.coeffs.clear();
+        self.coeffs.extend_from_slice(coeffs);
+        self.chunk = chunk;
+        self.rev.clear();
+        self.rev.resize(chunk + k.saturating_sub(1), T::ZERO);
+        // rev[chunk - 1 - m] = g(m); g(m - 1 - j) sits at chunk - m + j.
+        for m in 0..chunk {
+            let mut g = if m == 0 { T::ONE } else { T::ZERO };
+            for (j, &c) in coeffs.iter().enumerate().take(m) {
+                g = g.add(c.mul(self.rev[chunk - m + j]));
+            }
+            self.rev[chunk - 1 - m] = g;
+        }
+        true
+    }
+
+    /// The table: `chunk + order - 1` entries, as
+    /// [`crate::simd::linrec_totals`] takes it.
+    pub fn rev(&self) -> &[T] {
+        &self.rev
+    }
+
+    /// Whether the table was built for exactly these coefficients.
+    pub fn is_for(&self, coeffs: &[T]) -> bool {
+        self.coeffs == coeffs
+    }
+}
+
 impl<T: ScanElement> ChunkKernel<T> for LinRec<T> {
     fn supports_cascade(&self) -> bool {
         // Construction is gated on `T::EXACT_RING`, so every live value
@@ -1693,6 +1793,25 @@ impl<T: ScanElement> ChunkKernel<T> for LinRec<T> {
         check_recurrence_state(state.len(), s, c.len());
         if s > 1 || !linrec1(c, Sweep::Totals { src }, state) {
             linrec_totals(c, src, base, s, state);
+        }
+    }
+
+    fn prepare_publish(&self, table: &mut ImpulseTable<T>, chunk_elems: usize, s: usize) -> bool {
+        // Only where the dot-product reduction can run.
+        let usable = s == 1
+            && chunk_elems >= REDUCTION_MIN_ELEMS
+            && crate::simd::linrec_reduction_available::<T>(crate::isa::resolved(), self.coeffs().len());
+        usable && table.prepare(self.coeffs(), chunk_elems)
+    }
+
+    fn publish_totals(&self, src: &[T], base: usize, s: usize, state: &mut [T], table: &ImpulseTable<T>) {
+        let c = self.coeffs();
+        let reduced = s == 1
+            && src.len() >= REDUCTION_MIN_ELEMS
+            && table.is_for(c)
+            && crate::simd::linrec_totals(crate::isa::resolved(), c, table.rev(), src, state);
+        if !reduced {
+            self.cascade_totals(src, base, s, state);
         }
     }
 }

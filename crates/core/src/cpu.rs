@@ -14,6 +14,13 @@
 //! `3k`-entry circular buffers; see [`crate::kernel::AuxMode`] for the
 //! paper-faithful ring variant on the simulator.
 //!
+//! Higher-order sums and linear recurrences take the single-pass cascade
+//! protocol instead ([`CpuScanner`]'s `scan_into_cascade`): per chunk, a
+//! vectorised totals reduction is published once, then a seeded cascade
+//! writes the outputs — streamed past the non-temporal store threshold
+//! while the worker's next chunk is prefetched into L2 — so each element
+//! is read from memory once and written once.
+//!
 //! Carries are always folded in chunk order, so scans with merely
 //! pseudo-associative operators (floating-point addition) are deterministic
 //! for a given worker count and chunk size — the property Section 3.1
@@ -25,16 +32,19 @@
 //! each chunk is scanned directly in the caller's output buffer through the
 //! fused [`ChunkKernel`] kernels (no staging copy of the input), per-worker
 //! lane scratch is allocated once per scan, and the auxiliary sum/ready
-//! arrays live in a grow-only arena owned by the scanner — after the first
-//! scan of a given geometry, repeated scans allocate nothing beyond the
-//! worker threads themselves.
+//! arrays, like the cascade path's recurrence impulse table, live in a
+//! grow-only arena owned by the scanner; the streamed sweep's bounce
+//! buffer is on each worker's stack — after the first scan of a given
+//! geometry, repeated scans allocate nothing beyond the worker threads
+//! themselves.
 
-use crate::chunk_kernel::ChunkKernel;
+use crate::chunk_kernel::{ChunkKernel, ImpulseTable};
 use crate::chunkops;
 use crate::config::{ScanKind, ScanSpec};
 use crate::obs::{self, Phase, TraceSink};
 use gpu_sim::sched::{self, HookPoint};
 use gpu_sim::{Pod64, Scheduler};
+use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
 
@@ -72,11 +82,17 @@ pub struct CpuScanner {
     trace: Option<Arc<TraceSink>>,
 }
 
-/// Reusable backing store for the per-chunk sum slots and ready counters.
+/// Reusable backing store for the per-chunk sum slots and ready counters,
+/// and for the cascade publish sweep's [`ImpulseTable`].
 #[derive(Default)]
 struct Arena {
     sums: Vec<AtomicU64>,
     ready: Vec<AtomicU64>,
+    /// The `ImpulseTable<T>` of the element type last scanned on the
+    /// cascade path (type-erased: one scanner serves every `T`).
+    table: Option<Box<dyn Any + Send>>,
+    /// How many scans had to (re)build `table`.
+    table_builds: u64,
 }
 
 impl Arena {
@@ -93,6 +109,18 @@ impl Arena {
         for r in &self.ready[..chunks] {
             r.store(0, Ordering::Relaxed);
         }
+    }
+
+    /// The publish table for element type `T`, replacing a table of
+    /// another type.
+    fn table_mut<T: Send + 'static>(&mut self) -> &mut ImpulseTable<T> {
+        if !self.table.as_ref().is_some_and(|t| t.is::<ImpulseTable<T>>()) {
+            self.table = Some(Box::new(ImpulseTable::<T>::default()));
+        }
+        self.table
+            .as_mut()
+            .and_then(|t| t.downcast_mut())
+            .expect("table of this type just installed")
     }
 }
 
@@ -206,6 +234,18 @@ impl CpuScanner {
                 let a = poisoned.into_inner();
                 (a.ready.len(), a.sums.len())
             }
+        }
+    }
+
+    /// How many scans so far had to build or rebuild the cascade publish
+    /// sweep's lookup table (the impulse response of a linear recurrence,
+    /// see [`ImpulseTable`]) in the shared arena. Constant across repeated
+    /// scans of one operator and geometry on a warmed scanner.
+    #[doc(hidden)]
+    pub fn table_builds(&self) -> u64 {
+        match self.arena.lock() {
+            Ok(a) => a.table_builds,
+            Err(poisoned) => poisoned.into_inner().table_builds,
         }
     }
 
@@ -471,19 +511,31 @@ impl CpuScanner {
     /// algebra, see [`crate::carry`]); requires
     /// [`ChunkKernel::supports_cascade`].
     ///
-    /// Per chunk a worker makes two sweeps of L2-resident data instead of
-    /// the multi-pass path's `q`:
+    /// Per chunk a worker reads its input once from memory and writes its
+    /// output once, in two sweeps instead of the multi-pass path's `q`:
     ///
-    /// 1. **publish** — a totals-only cascade from a zero seed yields all
-    ///    `q * s` per-order/per-lane local sums in one read of the input;
-    ///    they are published together and the ready counter released
-    ///    *once*, cutting cross-worker wait rounds per chunk from `q` to 1;
+    /// 1. **publish** — a totals-only reduction from a zero seed yields all
+    ///    `q * s` per-order/per-lane local sums; they are published
+    ///    together and the ready counter released *once*, cutting
+    ///    cross-worker wait rounds per chunk from `q` to 1. Operators
+    ///    reduce through [`ChunkKernel::publish_totals`]: stride-1 sums as
+    ///    a vector column cascade plus a constant basis change, stride-1
+    ///    recurrences as dot products against the impulse-response table
+    ///    prepared in the arena before the workers start
+    ///    ([`ChunkKernel::prepare_publish`]) — a fraction of the scan's
+    ///    compute;
     /// 2. **resolve + output** — the seed state is assembled from the
     ///    worker's own previous end state (advanced `k - 1` chunk distances
-    ///    by the binomial weight matrix) plus each published predecessor
-    ///    (folded at its distance), and a seeded cascade re-reads the input
-    ///    and writes the final outputs directly — exclusive handled inline,
-    ///    no rewrite pass.
+    ///    by the carry plan) plus each published predecessor (folded at its
+    ///    distance), and a seeded cascade re-reads the input, now in L2,
+    ///    and writes the final outputs — exclusive handled inline, no
+    ///    rewrite pass. When the output is at least
+    ///    [`crate::simd::nt_store_min_bytes`], this sweep is *streamed*: it
+    ///    scans lane-aligned blocks of 64 rows (at most 512 elements) into
+    ///    an L1 bounce buffer, copies each out with full-line streaming stores
+    ///    ([`crate::simd::stream_copy`]) and prefetches the same offsets of
+    ///    the worker's next chunk into L2, so the next publish sweep reads
+    ///    from cache while this one writes around it.
     ///
     /// The chunk size is rounded up to a multiple of `s` so every chunk
     /// base is lane-aligned and every chunk-to-chunk lane distance is the
@@ -532,6 +584,15 @@ impl CpuScanner {
             None => &mut local_arena,
         };
         arena.prepare(num_chunks, num_chunks * qs);
+        if op.prepare_publish(arena.table_mut::<T>(), chunk_elems, s) {
+            arena.table_builds += 1;
+        }
+        let arena = &*arena;
+        let table = arena
+            .table
+            .as_ref()
+            .and_then(|t| t.downcast_ref::<ImpulseTable<T>>())
+            .expect("table installed above");
         let sums = &arena.sums[..num_chunks * qs];
         let ready = &arena.ready[..num_chunks];
 
@@ -542,6 +603,15 @@ impl CpuScanner {
         let trace = self.trace.clone();
         // Same per-plan NT-override inheritance as `scan_into`.
         let nt = crate::simd::nt_store_tl();
+        // Stream sweep 2 past the NT-store threshold (read here, under the
+        // dispatching thread's per-plan override).
+        let isa = crate::isa::resolved();
+        let size = std::mem::size_of::<T>();
+        let stream = std::mem::size_of_val(input) >= crate::simd::nt_store_min_bytes()
+            && crate::simd::has_stream_stores(isa)
+            && 64 % size == 0
+            && out.as_ptr().addr().is_multiple_of(size)
+            && s <= STREAM_BLOCK;
         let payload = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(k);
             for b in 0..k {
@@ -564,6 +634,7 @@ impl CpuScanner {
                     let mut own_end: Vec<T> = vec![op.identity(); qs];
                     let mut totals: Vec<T> = vec![op.identity(); qs];
                     let mut pred: Vec<T> = vec![op.identity(); qs];
+                    let mut bounce = [op.identity(); BOUNCE_ELEMS];
 
                     let mut c = b;
                     while c < num_chunks {
@@ -581,7 +652,7 @@ impl CpuScanner {
                             for t in totals.iter_mut() {
                                 *t = op.identity();
                             }
-                            op.cascade_totals(src, base, s, &mut totals);
+                            op.publish_totals(src, base, s, &mut totals, table);
                         });
                         obs::timed(sink, b, c as u64, Phase::CarryPublish, || {
                             let sum_base = c * qs;
@@ -614,10 +685,21 @@ impl CpuScanner {
                             }
                         });
 
-                        // Sweep 2: seeded cascade re-reads the (L2-resident)
-                        // input and writes the final outputs.
+                        // Sweep 2: seeded cascade re-reads the input (in L2
+                        // since sweep 1) and writes the final outputs.
                         obs::timed(sink, b, c as u64, Phase::CarryApply, || {
-                            op.cascade_scan_from(src, chunk, base, s, &mut state, exclusive);
+                            if stream {
+                                let next = if c + k < num_chunks {
+                                    &input[chunkops::chunk_range(c + k, chunk_elems, n)]
+                                } else {
+                                    &[]
+                                };
+                                streamed_sweep(
+                                    op, src, chunk, base, s, &mut state, exclusive, next, &mut bounce, isa,
+                                );
+                            } else {
+                                op.cascade_scan_from(src, chunk, base, s, &mut state, exclusive);
+                            }
                         });
                         own_end.copy_from_slice(&state);
                         c += k;
@@ -630,6 +712,78 @@ impl CpuScanner {
             std::panic::resume_unwind(p);
         }
     }
+}
+
+/// Most elements the streamed output sweep scans per block (rounded down
+/// to whole `s`-element rows): 4 KiB of `i64`, so the block and its
+/// bounce copy stay in L1.
+const STREAM_BLOCK: usize = 512;
+
+/// Rows per block of the streamed output sweep, below [`STREAM_BLOCK`].
+/// Each block prefetches its own offsets of the next chunk, so this also
+/// sizes the prefetch bursts: 8 lines for stride-1 `i64`. With 512-element
+/// blocks (64-line bursts) the next chunk's publish sweep took about twice
+/// as long, and with 32 rows the per-call cost of the kernels showed; see
+/// DESIGN.md §17.3 for the measurements.
+const STREAM_ROWS: usize = 64;
+
+/// Bounce buffer of the streamed sweep: one block plus the outputs of at
+/// most one partial 64-byte line staged from the previous block.
+const BOUNCE_ELEMS: usize = STREAM_BLOCK + 64;
+
+/// Sweep 2 of one chunk, streamed: the seeded cascade of `src` runs in
+/// lane-aligned blocks of [`STREAM_ROWS`] rows into `bounce`, and every
+/// whole 64-byte line of `chunk` it completes goes out with streaming
+/// stores ([`crate::simd::stream_copy`]); a partial line waits in
+/// `bounce` for the next block, so no line is written by both store kinds.
+/// Each block first prefetches the same offsets of `next` — the worker's
+/// next chunk, empty for its last — into L2 for that chunk's publish
+/// sweep. Ends with a store fence. Same outputs and end state as one
+/// `cascade_scan_from` over the chunk.
+#[allow(clippy::too_many_arguments)]
+fn streamed_sweep<T: Pod64, Op: ChunkKernel<T>>(
+    op: &Op,
+    src: &[T],
+    chunk: &mut [T],
+    base: usize,
+    s: usize,
+    state: &mut [T],
+    exclusive: bool,
+    next: &[T],
+    bounce: &mut [T],
+    isa: crate::isa::Isa,
+) {
+    let n = src.len();
+    let size = std::mem::size_of::<T>();
+    let line = 64 / size;
+    // Elements before the first line boundary of `chunk` (whole elements:
+    // the caller only streams element-aligned outputs).
+    let head = ((64 - chunk.as_ptr().addr() % 64) % 64 / size).min(n);
+    let block = (STREAM_BLOCK / s).min(STREAM_ROWS) * s;
+    // Outputs staged in `bounce[..staged]` belong at `chunk[written..]`.
+    let (mut written, mut staged, mut off) = (0, 0, 0);
+    while off < n {
+        let end = (off + block).min(n);
+        crate::simd::prefetch_l2(&next[off.min(next.len())..end.min(next.len())]);
+        let out = &mut bounce[staged..staged + end - off];
+        op.cascade_scan_from(&src[off..end], out, base + off, s, state, exclusive);
+        staged += end - off;
+        let reach = written + staged;
+        let flush_to = if end == n {
+            reach
+        } else if reach < head {
+            written
+        } else {
+            head + (reach - head) / line * line
+        };
+        let flushed = flush_to - written;
+        crate::simd::stream_copy(isa, &bounce[..flushed], &mut chunk[written..flush_to]);
+        bounce.copy_within(flushed..staged, 0);
+        staged -= flushed;
+        written = flush_to;
+        off = end;
+    }
+    crate::simd::stream_fence();
 }
 
 /// Rebuilds a [`ScanSpec`] from its parts (for the single-worker fallback).

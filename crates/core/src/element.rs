@@ -59,18 +59,6 @@ pub trait ScanElement:
     /// cascade gate and [`crate::op::LinRec`] construction both test this
     /// one const instead of re-deriving the conjunction.
     const EXACT_RING: bool = Self::EXACT_ASSOC && Self::EXACT_MUL;
-    /// Whether this type *is* one of the eight primitive wrapping integer
-    /// types (`i8`/`u8` … `i64`/`u64`), bit-reinterpretable as the
-    /// unsigned integer of its width.
-    ///
-    /// This is a strictly stronger claim than [`ScanElement::EXACT_ASSOC`]:
-    /// it licenses [`crate::simd`] to transmute slices to raw lane words
-    /// and add them with width-generic SIMD/SWAR instructions, which is
-    /// only sound for the primitive types themselves (two's-complement
-    /// addition is sign-agnostic at the bit level). Defaults to `false`;
-    /// never set it on a custom element type.
-    const IS_WRAPPING_INT: bool = false;
-
     /// Wrapping addition (plain addition for floats).
     fn add(self, other: Self) -> Self;
     /// Wrapping subtraction (plain subtraction for floats).
@@ -104,6 +92,34 @@ pub trait IntElement: ScanElement + Eq + Ord + std::hash::Hash {
     fn or(self, other: Self) -> Self;
 }
 
+/// Whether `T` *is* one of the eight primitive wrapping integer types
+/// (`i8`/`u8` … `i64`/`u64`), bit-reinterpretable as the unsigned integer
+/// of its width.
+///
+/// This is a strictly stronger claim than [`ScanElement::EXACT_ASSOC`]: it
+/// licenses [`crate::simd`] and the chunk kernels to reinterpret slices as
+/// raw lane words and add them with width-generic SIMD/SWAR instructions,
+/// which is only sound for the primitive types themselves
+/// (two's-complement addition is sign-agnostic at the bit level). It is a
+/// `TypeId` match rather than a trait constant, so no downstream
+/// [`ScanElement`] implementation can opt into the reinterpreting kernels;
+/// the comparison folds to a constant per monomorphization.
+pub fn is_wrapping_int<T: 'static>() -> bool {
+    use std::any::TypeId;
+    let id = TypeId::of::<T>();
+    [
+        TypeId::of::<u8>(),
+        TypeId::of::<i8>(),
+        TypeId::of::<u16>(),
+        TypeId::of::<i16>(),
+        TypeId::of::<u32>(),
+        TypeId::of::<i32>(),
+        TypeId::of::<u64>(),
+        TypeId::of::<i64>(),
+    ]
+    .contains(&id)
+}
+
 macro_rules! impl_scan_int {
     ($($t:ty),*) => {$(
         impl ScanElement for $t {
@@ -113,7 +129,6 @@ macro_rules! impl_scan_int {
             const MAX_VALUE: Self = <$t>::MAX;
             const EXACT_ASSOC: bool = true;
             const EXACT_MUL: bool = true;
-            const IS_WRAPPING_INT: bool = true;
 
             #[inline]
             fn add(self, other: Self) -> Self {

@@ -44,10 +44,22 @@
 //! strips with a scalar per-row tail, so any `s` works; sub-vector rows
 //! (8–15 bytes) use one SWAR word per strip instead.
 //!
+//! # Publish reductions and streaming copies
+//!
+//! The multi-worker cascade engine publishes per-chunk totals before it
+//! scans ([`crate::cpu`]). [`sum_totals`] computes stride-1 sum totals as
+//! a vertical cascade over one-vector rows followed by a constant basis
+//! change, and [`linrec_totals`] computes stride-1 recurrence totals as dot
+//! products against the recurrence's impulse response; both are exact
+//! replacements for the totals-only cascade. [`stream_copy`] and
+//! [`prefetch_l2`] are the engine's streamed output sweep: full-line
+//! non-temporal stores out of an L1 bounce buffer, and the next chunk
+//! pulled into L2 meanwhile (DESIGN.md §17).
+//!
 //! # Determinism contract
 //!
 //! Every kernel is bit-identical to the scalar loop it replaces. All are
-//! gated on [`ScanElement::IS_WRAPPING_INT`]: two's-complement wrapping
+//! gated on [`is_wrapping_int`]: two's-complement wrapping
 //! addition is exactly associative and sign-agnostic, which is what makes
 //! both the reassociation and the signed/unsigned kernel sharing exact.
 //! Floats and custom element types never enter (they keep the serial
@@ -66,7 +78,7 @@
 //!
 //! [`Sum`]: crate::op::Sum
 
-use crate::element::ScanElement;
+use crate::element::{is_wrapping_int, ScanElement};
 use crate::isa::Isa;
 
 /// Output size in bytes above which the stride-1 kernels switch to
@@ -227,7 +239,7 @@ unsafe fn stride1_ptr<T: ScanElement>(
     // `is_available` also guards soundness: the vector arms below jump into
     // `#[target_feature]` kernels, so an ISA the CPU cannot execute must
     // decline here rather than fault (callers may pass any `Isa`).
-    if !T::IS_WRAPPING_INT || isa == Isa::Scalar || !isa.is_available() {
+    if !is_wrapping_int::<T>() || isa == Isa::Scalar || !isa.is_available() {
         return None;
     }
     let _ = allow_nt;
@@ -435,7 +447,7 @@ fn vert_dispatch<T: ScanElement>(
 ) -> bool {
     // As in `stride1_ptr`, `is_available` keeps unavailable vector families
     // from reaching their `#[target_feature]` kernels.
-    if !T::IS_WRAPPING_INT || isa == Isa::Scalar || !isa.is_available() {
+    if !is_wrapping_int::<T>() || isa == Isa::Scalar || !isa.is_available() {
         return false;
     }
     let b = s * std::mem::size_of::<T>();
@@ -478,12 +490,279 @@ fn vert_dispatch<T: ScanElement>(
     true
 }
 
+// --- Publish reductions and the streamed output sweep ---------------------
+
+/// Largest cascade order the publish reductions cover (the register
+/// window of `q` vectors; larger orders keep the scalar kernels).
+const REDUCTION_MAX_Q: usize = 8;
+
+/// Columns of the publish reductions on `isa` for `bytes`-wide lanes: one
+/// vector of lanes (8 `u64` or 16 `u32` on AVX-512, 4 `u64` or 8 `u32` on
+/// AVX2), or `None` where the family keeps the scalar kernels.
+fn reduction_columns(isa: Isa, bytes: usize) -> Option<usize> {
+    if !matches!(bytes, 4 | 8) || !isa.is_available() {
+        return None;
+    }
+    match isa {
+        Isa::Avx512 => Some(64 / bytes),
+        Isa::Avx2 => Some(32 / bytes),
+        _ => None,
+    }
+}
+
+/// The [`crate::carry::column_basis`] table of one `(q, w)`, built once per
+/// process (`q` in `1..=8`, `w` in `{4, 8, 16}`).
+fn cached_column_basis(q: usize, w: usize) -> &'static [u64] {
+    use std::sync::OnceLock;
+    static TABLES: [OnceLock<Box<[u64]>>; REDUCTION_MAX_Q * 3] =
+        [const { OnceLock::new() }; REDUCTION_MAX_Q * 3];
+    let slot = (q - 1) * 3 + (w.trailing_zeros() as usize - 2);
+    TABLES[slot].get_or_init(|| crate::carry::column_basis(q, w).into_boxed_slice())
+}
+
+/// Stride-1 order-`q` cascade totals (`q = state.len()`): advances `state`
+/// over `src` exactly as `chunk_kernel::reference::cascade_totals` does
+/// with `s = 1`, as a `w`-column reduction.
+///
+/// The zero-seeded vertical cascade runs over `w`-element rows with the
+/// `q x w` window in vector registers — `q` vector adds per `w` elements
+/// instead of `q` dependent scalar adds per element — and the column
+/// totals map to the stride-1 totals through the constant basis change of
+/// [`crate::carry::column_basis`]. A non-zero seed is advanced across the
+/// rows by the binomial weights of [`crate::carry`]; the last `len % w`
+/// elements take the scalar cascade. Bit-identical to the reference for
+/// every 4- and 8-byte wrapping integer type.
+///
+/// Returns `false`, having done nothing, when `isa` has no reduction (only
+/// AVX2 and AVX-512 have one) or is unavailable on the running CPU, `T` is
+/// not a 4- or 8-byte primitive integer, or `q` is outside `2..=8`.
+pub fn sum_totals<T: ScanElement>(isa: Isa, src: &[T], state: &mut [T]) -> bool {
+    let q = state.len();
+    let bytes = std::mem::size_of::<T>();
+    if !is_wrapping_int::<T>() || !(2..=REDUCTION_MAX_Q).contains(&q) {
+        return false;
+    }
+    let Some(w) = reduction_columns(isa, bytes) else {
+        return false;
+    };
+    let rows = src.len() / w;
+    // The q x w column totals, one 64-byte vector per order.
+    let mut cols = [0u8; REDUCTION_MAX_Q * 64];
+    // SAFETY: `reduction_columns` checked the family is available and the
+    // lane width; `src` holds `rows * w` lanes, `cols` has room for `q`
+    // vectors.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        x86::column_cascade(isa, bytes, q, src.as_ptr().cast(), rows, cols.as_mut_ptr());
+    }
+    let col = |k: usize, c: usize| {
+        let p = cols[k * 64 + c * bytes..].as_ptr();
+        // SAFETY: in bounds of `cols` (k < q, c < w = 64 / bytes or less).
+        unsafe {
+            if bytes == 8 {
+                lane_load::<8>(p)
+            } else {
+                lane_load::<4>(p)
+            }
+        }
+    };
+    let basis = cached_column_basis(q, w);
+    let mut seed = [0u64; REDUCTION_MAX_Q];
+    for (s, &v) in seed.iter_mut().zip(state.iter()) {
+        *s = lane_bits_of(v);
+    }
+    let seeded = seed.iter().any(|&v| v != 0);
+    let span = (rows * w) as u128;
+    let mut next = [0u64; REDUCTION_MAX_Q];
+    for (j, t) in next.iter_mut().enumerate().take(q) {
+        for k in 0..=j {
+            let row = &basis[(j * q + k) * w..][..w];
+            for (c, &a) in row.iter().enumerate() {
+                *t = t.wrapping_add(a.wrapping_mul(col(k, c)));
+            }
+            if seeded {
+                // Seed order k advanced across `span` zero elements to
+                // order j: weight C(span + (j - k) - 1, j - k).
+                let d = j - k;
+                let weight = if d == 0 {
+                    1
+                } else {
+                    crate::carry::binomial_mod_2_64(span + d as u128 - 1, d as u32)
+                };
+                *t = t.wrapping_add(seed[k].wrapping_mul(weight));
+            }
+        }
+    }
+    for (s, &v) in state.iter_mut().zip(&next) {
+        *s = lane_of_bits(v);
+    }
+    for &x in &src[rows * w..] {
+        state[0] = state[0].add(x);
+        for i in 1..q {
+            state[i] = state[i].add(state[i - 1]);
+        }
+    }
+    true
+}
+
+/// Stride-1 order-`k` linear-recurrence totals (`k = state.len()`):
+/// advances `state` over `src` exactly as
+/// `chunk_kernel::reference::linrec_totals` does with `s = 1`, as `k`
+/// shifted dot products against `table`, the reversed impulse response
+/// of the recurrence over a span of `table.len() - k + 1` elements (see
+/// [`crate::chunk_kernel::ImpulseTable`]).
+///
+/// The zero-seeded end state is `x_{L-1-j} = sum_t src[t] * g(L-1-j-t)`
+/// for the impulse response `g`, so with `rev[i] = g(N-1-i)` (zero past
+/// `N - 1`) for the table span `N`, state row `j` is the dot product of
+/// `src` with `rev[N - L + j..]`: a span shorter than the table reads it
+/// at an offset. A non-zero seed enters as the equivalent input it feeds
+/// the first `k` elements. Bit-identical to the reference for every 4- and
+/// 8-byte wrapping integer type.
+///
+/// Returns `false`, having done nothing, when `isa` is not an available
+/// AVX-512 family with the 64-bit vector multiply (AVX-512DQ; the other
+/// families keep the two-elements-per-step register window), when `T` is
+/// not a 4- or 8-byte primitive integer, `k` is outside `1..=8`, `table`
+/// is not a table for `k` coefficients over at least `src.len()`
+/// elements, or `src` is shorter than `k`.
+pub fn linrec_totals<T: ScanElement>(isa: Isa, coeffs: &[T], table: &[T], src: &[T], state: &mut [T]) -> bool {
+    let k = state.len();
+    let bytes = std::mem::size_of::<T>();
+    let n = src.len();
+    if !linrec_reduction_available::<T>(isa, k) || coeffs.len() != k || n < k || table.len() + 1 < n + k {
+        return false;
+    }
+    let off = table.len() + 1 - k - n;
+    let rev = &table[off..];
+    let mut dots = [0u64; REDUCTION_MAX_Q];
+    // SAFETY: the family and its multiply are available; `rev` holds
+    // `n + k - 1` lanes, so every shifted window of `n` lanes is in bounds.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        x86::impulse_dots(bytes, k, src.as_ptr().cast(), n, rev.as_ptr().cast(), &mut dots);
+    }
+    // The seed window (row 0 most recent) feeds element t < k the input
+    // sum_{j >= t} c_j * w_{j - t}; add its response.
+    for t in 0..k {
+        let mut e = T::ZERO;
+        for j in t..k {
+            e = e.add(coeffs[j].mul(state[j - t]));
+        }
+        let e = lane_bits_of(e);
+        if e != 0 {
+            for (j, d) in dots.iter_mut().enumerate().take(k) {
+                *d = d.wrapping_add(e.wrapping_mul(lane_bits_of(rev[t + j])));
+            }
+        }
+    }
+    for (s, &d) in state.iter_mut().zip(&dots) {
+        *s = lane_of_bits(d);
+    }
+    true
+}
+
+/// Whether [`linrec_totals`] has a kernel for order-`k` recurrences over
+/// `T` on `isa` on the running CPU.
+pub fn linrec_reduction_available<T: 'static>(isa: Isa, k: usize) -> bool {
+    is_wrapping_int::<T>()
+        && (1..=REDUCTION_MAX_Q).contains(&k)
+        && isa == Isa::Avx512
+        && reduction_columns(isa, std::mem::size_of::<T>()).is_some()
+        && has_vector_mul64()
+}
+
+/// Whether the running CPU has the AVX-512DQ 64-bit lane multiply.
+fn has_vector_mul64() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx512dq")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Whether `isa` has the full-line streaming stores [`stream_copy`] uses
+/// (AVX2 and AVX-512, when the running CPU has them).
+pub fn has_stream_stores(isa: Isa) -> bool {
+    cfg!(target_arch = "x86_64") && matches!(isa, Isa::Avx2 | Isa::Avx512) && isa.is_available()
+}
+
+/// Copies `src` into `dst` with non-temporal stores for every whole
+/// 64-byte line of `dst`, and ordinary stores for the partial lines at
+/// either end — the stride-1 kernels' streaming-store idiom as a block
+/// copy, for the multi-worker engine's streamed output sweep. The stores
+/// are weakly ordered: call [`stream_fence`] before publishing the data to
+/// another thread. Falls back to a plain copy where `isa` has no streaming
+/// stores ([`has_stream_stores`]) or the element size does not divide a
+/// line.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn stream_copy<T: Copy>(isa: Isa, src: &[T], dst: &mut [T]) {
+    assert_eq!(src.len(), dst.len(), "stream copy buffers must match");
+    let size = std::mem::size_of::<T>();
+    if !has_stream_stores(isa) || size == 0 || 64 % size != 0 {
+        dst.copy_from_slice(src);
+        return;
+    }
+    let head = dst.as_ptr().align_offset(64).min(dst.len());
+    let lines = (dst.len() - head) * size / 64;
+    let body = lines * 64 / size;
+    dst[..head].copy_from_slice(&src[..head]);
+    // SAFETY: `dst[head..]` is 64-byte aligned and holds `lines` whole
+    // lines; `src` is valid for the same bytes; the family is available.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        let (s, d) = (src[head..].as_ptr().cast::<u8>(), dst[head..].as_mut_ptr().cast::<u8>());
+        if isa == Isa::Avx512 {
+            x86::stream_lines_avx512(s, d, lines);
+        } else {
+            x86::stream_lines_avx2(s, d, lines);
+        }
+    }
+    dst[head + body..].copy_from_slice(&src[head + body..]);
+}
+
+/// Orders every earlier [`stream_copy`] store of this thread before its
+/// later stores (`sfence`); a no-op where there are no streaming stores.
+pub fn stream_fence() {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `sfence` is baseline x86-64.
+    unsafe {
+        std::arch::x86_64::_mm_sfence();
+    }
+}
+
+/// Prefetches every cache line of `data` into the L2 cache (`prefetcht1`)
+/// where the target has a prefetch hint; a no-op elsewhere. Never faults.
+pub fn prefetch_l2<T>(data: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let p = data.as_ptr().cast::<u8>();
+        let bytes = std::mem::size_of_val(data);
+        for off in (0..bytes).step_by(64) {
+            // SAFETY: a prefetch never faults; `off` is in bounds.
+            unsafe {
+                std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T1 }>(
+                    p.add(off).cast(),
+                );
+            }
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = data;
+}
+
 // --- Scalar lane helpers ---------------------------------------------------
 
 /// The wrapping-int element's bits as a `u64` lane value (low
 /// `size_of::<T>()` bytes).
 fn lane_bits_of<T: ScanElement>(v: T) -> u64 {
-    // SAFETY: gated on `T::IS_WRAPPING_INT`, so T is one of the primitive
+    // SAFETY: callers gate on `is_wrapping_int::<T>()`, so T is one of the primitive
     // integer types of the matched width.
     unsafe {
         match std::mem::size_of::<T>() {
@@ -987,7 +1266,7 @@ vertical_runner!(run_vert_neon, arm::NeonRows);
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{lane_add, lane_load, lane_store, scalar_add2, scalar_exc_step, RowOps};
+    use super::{lane_add, lane_load, lane_store, scalar_add2, scalar_exc_step, Isa, RowOps};
     use std::arch::x86_64::*;
 
     /// How far ahead of the current read position the streaming kernels
@@ -1345,6 +1624,184 @@ mod x86 {
             i += 1;
         }
         c
+    }
+
+    /// The zero-seeded vertical cascade of the publish reduction over
+    /// `rows` one-vector rows of `EW`-byte lanes, with the `Q`-vector
+    /// window in registers; stores the `Q` column-total vectors to `out`.
+    macro_rules! column_cascade_kernel {
+        ($name:ident, $feature:literal, $vec:ty, $zero:ident, $load:ident, $store:ident, $add:ident) => {
+            #[target_feature(enable = $feature)]
+            unsafe fn $name<const EW: usize, const Q: usize>(src: *const u8, rows: usize, out: *mut u8) {
+                const { assert!(Q > 0) };
+                let bytes = std::mem::size_of::<$vec>();
+                let mut a: [$vec; Q] = [$zero(); Q];
+                for r in 0..rows {
+                    let x = $load(src.add(r * bytes).cast());
+                    a[0] = $add::<EW>(a[0], x);
+                    for i in 1..Q {
+                        a[i] = $add::<EW>(a[i], a[i - 1]);
+                    }
+                }
+                for (i, v) in a.iter().enumerate() {
+                    $store(out.add(i * 64).cast(), *v);
+                }
+            }
+        };
+    }
+    column_cascade_kernel!(
+        column_cascade_avx512,
+        "avx512f,avx512bw,avx2",
+        __m512i,
+        _mm512_setzero_si512,
+        _mm512_loadu_si512,
+        _mm512_storeu_si512,
+        add512
+    );
+    column_cascade_kernel!(
+        column_cascade_avx2,
+        "avx2",
+        __m256i,
+        _mm256_setzero_si256,
+        _mm256_loadu_si256,
+        _mm256_storeu_si256,
+        add256
+    );
+
+    /// Runs the `(isa, bytes, q)` monomorphization of the column cascade.
+    ///
+    /// # Safety
+    ///
+    /// `isa` is AVX2 or AVX-512 and available; `bytes` is 4 or 8; `q` in
+    /// `1..=8`; `src` valid for `rows` vectors; `out` for `q * 64` bytes.
+    pub(super) unsafe fn column_cascade(isa: Isa, bytes: usize, q: usize, src: *const u8, rows: usize, out: *mut u8) {
+        macro_rules! by_q {
+            ($kernel:ident, $ew:literal) => {
+                match q {
+                    1 => $kernel::<$ew, 1>(src, rows, out),
+                    2 => $kernel::<$ew, 2>(src, rows, out),
+                    3 => $kernel::<$ew, 3>(src, rows, out),
+                    4 => $kernel::<$ew, 4>(src, rows, out),
+                    5 => $kernel::<$ew, 5>(src, rows, out),
+                    6 => $kernel::<$ew, 6>(src, rows, out),
+                    7 => $kernel::<$ew, 7>(src, rows, out),
+                    8 => $kernel::<$ew, 8>(src, rows, out),
+                    _ => unreachable!("reduction orders are 1..=8"),
+                }
+            };
+        }
+        match (isa, bytes) {
+            (Isa::Avx512, 8) => by_q!(column_cascade_avx512, 8),
+            (Isa::Avx512, _) => by_q!(column_cascade_avx512, 4),
+            (_, 8) => by_q!(column_cascade_avx2, 8),
+            _ => by_q!(column_cascade_avx2, 4),
+        }
+    }
+
+    /// Width-dispatched 512-bit low multiply (`epi64` needs `avx512dq`).
+    #[inline(always)]
+    unsafe fn mullo512<const W: usize>(a: __m512i, b: __m512i) -> __m512i {
+        match W {
+            4 => _mm512_mullo_epi32(a, b),
+            8 => _mm512_mullo_epi64(a, b),
+            _ => unreachable!(),
+        }
+    }
+
+    /// `K` shifted dot products `dots[j] = sum_t src[t] * rev[t + j]` over
+    /// `n` `EW`-byte lanes (wrapping), one vector of `src` against `K`
+    /// unaligned windows of `rev` per step, with `K` vector accumulators.
+    #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx2")]
+    unsafe fn impulse_dots_avx512<const EW: usize, const K: usize>(
+        src: *const u8,
+        n: usize,
+        rev: *const u8,
+        dots: &mut [u64; 8],
+    ) {
+        let lanes = 64 / EW;
+        let mut acc = [_mm512_setzero_si512(); K];
+        let mut t = 0;
+        while t + lanes <= n {
+            let x = _mm512_loadu_si512(src.add(t * EW).cast());
+            for (j, a) in acc.iter_mut().enumerate() {
+                let g = _mm512_loadu_si512(rev.add((t + j) * EW).cast());
+                *a = add512::<EW>(*a, mullo512::<EW>(x, g));
+            }
+            t += lanes;
+        }
+        for (j, a) in acc.iter().enumerate() {
+            let mut d = if EW == 8 {
+                _mm512_reduce_add_epi64(*a) as u64
+            } else {
+                u64::from(_mm512_reduce_add_epi32(*a) as u32)
+            };
+            for i in t..n {
+                let x = lane_load::<EW>(src.add(i * EW));
+                let g = lane_load::<EW>(rev.add((i + j) * EW));
+                d = d.wrapping_add(x.wrapping_mul(g));
+            }
+            dots[j] = d;
+        }
+    }
+
+    /// Runs the `(bytes, k)` monomorphization of the impulse dot products.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F/BW/DQ available; `bytes` is 4 or 8; `k` in `1..=8`; `src`
+    /// valid for `n` lanes and `rev` for `n + k - 1`.
+    pub(super) unsafe fn impulse_dots(bytes: usize, k: usize, src: *const u8, n: usize, rev: *const u8, dots: &mut [u64; 8]) {
+        macro_rules! by_k {
+            ($ew:literal) => {
+                match k {
+                    1 => impulse_dots_avx512::<$ew, 1>(src, n, rev, dots),
+                    2 => impulse_dots_avx512::<$ew, 2>(src, n, rev, dots),
+                    3 => impulse_dots_avx512::<$ew, 3>(src, n, rev, dots),
+                    4 => impulse_dots_avx512::<$ew, 4>(src, n, rev, dots),
+                    5 => impulse_dots_avx512::<$ew, 5>(src, n, rev, dots),
+                    6 => impulse_dots_avx512::<$ew, 6>(src, n, rev, dots),
+                    7 => impulse_dots_avx512::<$ew, 7>(src, n, rev, dots),
+                    8 => impulse_dots_avx512::<$ew, 8>(src, n, rev, dots),
+                    _ => unreachable!("reduction orders are 1..=8"),
+                }
+            };
+        }
+        if bytes == 8 {
+            by_k!(8)
+        } else {
+            by_k!(4)
+        }
+    }
+
+    /// Streams `lines` whole 64-byte lines from `src` to the 64-byte
+    /// aligned `dst` (`vmovntdq` zmm).
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F available; `src`/`dst` valid for `lines * 64` bytes and
+    /// non-overlapping; `dst` 64-byte aligned.
+    #[target_feature(enable = "avx512f,avx2")]
+    pub(super) unsafe fn stream_lines_avx512(src: *const u8, dst: *mut u8, lines: usize) {
+        for l in 0..lines {
+            let v = _mm512_loadu_si512(src.add(l * 64).cast());
+            _mm512_stream_si512(dst.add(l * 64).cast(), v);
+        }
+    }
+
+    /// AVX2 form of [`stream_lines_avx512`]: two 32-byte streaming stores
+    /// per line.
+    ///
+    /// # Safety
+    ///
+    /// As [`stream_lines_avx512`], with AVX2 available.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn stream_lines_avx2(src: *const u8, dst: *mut u8, lines: usize) {
+        for l in 0..lines {
+            let lo = _mm256_loadu_si256(src.add(l * 64).cast());
+            let hi = _mm256_loadu_si256(src.add(l * 64 + 32).cast());
+            _mm256_stream_si256(dst.add(l * 64).cast(), lo);
+            _mm256_stream_si256(dst.add(l * 64 + 32).cast(), hi);
+        }
     }
 
     // Keep the scalar-lane helpers referenced so per-width dead-code

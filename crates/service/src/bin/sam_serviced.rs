@@ -86,7 +86,24 @@ impl Listen for TcpListener {
     }
 }
 
-/// Accepts connections until `stop`, spawning one handler thread each.
+/// Joins and drops every handler thread that has already finished, so the
+/// list holds only live connections instead of growing with every
+/// connection the daemon ever accepted.
+fn reap_finished(handlers: &mut Vec<std::thread::JoinHandle<()>>) {
+    let mut i = 0;
+    while i < handlers.len() {
+        if handlers[i].is_finished() {
+            // A handler that panicked has already logged through the
+            // panic hook; the daemon keeps serving.
+            let _ = handlers.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+}
+
+/// Accepts connections until `stop`, spawning one handler thread each and
+/// reaping finished handlers on every accept.
 /// Accept errors log and back off exponentially (5ms doubling to 1s)
 /// instead of killing the daemon — transient failures like fd exhaustion
 /// resolve when connections close.
@@ -101,6 +118,7 @@ fn accept_loop<L: Listen>(listener: L, service: Arc<ScanService>, stop: Arc<Atom
                 backoff = BACKOFF_START;
                 let service = Arc::clone(&service);
                 let stop = Arc::clone(&stop);
+                reap_finished(&mut handlers);
                 handlers.push(std::thread::spawn(move || serve(stream, &service, &stop)));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -247,5 +265,43 @@ fn serve(mut stream: impl Read + Write, service: &ScanService, stop: &AtomicBool
         if wire::write_frame(&mut stream, &wire::encode_response_lossy(&response)).is_err() {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::reap_finished;
+
+    /// N short sequential "connections": each handler has finished by the
+    /// next accept, so reaping keeps the list at one live entry instead of
+    /// N.
+    #[test]
+    fn reaping_keeps_the_handler_list_bounded() {
+        let mut handlers = Vec::new();
+        for _ in 0..64 {
+            reap_finished(&mut handlers);
+            assert!(handlers.is_empty(), "a finished handler was kept");
+            handlers.push(std::thread::spawn(|| {}));
+            while !handlers[0].is_finished() {
+                std::thread::yield_now();
+            }
+        }
+        assert_eq!(handlers.len(), 1);
+        // A live handler is kept until it finishes.
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        handlers.push(std::thread::spawn(move || {
+            let _ = rx.recv();
+        }));
+        while !handlers[0].is_finished() {
+            std::thread::yield_now();
+        }
+        reap_finished(&mut handlers);
+        assert_eq!(handlers.len(), 1, "the live handler must stay");
+        drop(tx);
+        while !handlers[0].is_finished() {
+            std::thread::yield_now();
+        }
+        reap_finished(&mut handlers);
+        assert!(handlers.is_empty());
     }
 }

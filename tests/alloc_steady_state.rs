@@ -116,20 +116,57 @@ fn scan_into_does_not_allocate_per_chunk() {
     // threads, so this counts process-wide.
     let few = CpuScanner::new(3).with_chunk_elems(32_768); // 2 chunks
     let many = CpuScanner::new(3).with_chunk_elems(32); // 2048 chunks
-    few.scan_into(&input, &mut out, &Sum, &spec); // warm-up (grows arena)
-    many.scan_into(&input, &mut out, &Sum, &spec); // warm-up (grows arena)
+    assert_chunk_scaling_flat("sum", &few, &many, |scanner| {
+        scanner.scan_into(&input, &mut out, &Sum, &spec);
+        assert_eq!(out, expect);
+    });
 
-    let allocs_few = all_allocs_during(|| few.scan_into(&input, &mut out, &Sum, &spec));
-    let allocs_many = all_allocs_during(|| many.scan_into(&input, &mut out, &Sum, &spec));
-    assert_eq!(out, expect);
+    // The same with the output sweep streamed (the threshold forced down
+    // to one byte): the bounce buffer lives on each worker's stack.
+    {
+        let _stream = sam_core::simd::nt_store_override(1);
+        assert_chunk_scaling_flat("streamed sum", &few, &many, |scanner| {
+            scanner.scan_into(&input, &mut out, &Sum, &spec);
+            assert_eq!(out, expect);
+        });
+    }
 
-    // 2048 chunks vs 2 chunks: any per-chunk allocation would add ≥ 2046.
+    // An order-2 recurrence, whose publish sweep reads the impulse table
+    // the scanner keeps in its arena (on hosts with the dot-product
+    // reduction): chunks of at least 512 elements so the table is in use.
+    let rec_spec = ScanSpec::inclusive().with_order(2).unwrap();
+    let rec = LinRec::new(vec![3i64, -1]).unwrap();
+    let rec_expect = sam_core::serial::scan(&input, &rec, &rec_spec);
+    let rec_many = CpuScanner::new(3).with_chunk_elems(512); // 128 chunks
+    assert_chunk_scaling_flat("recurrence", &few, &rec_many, |scanner| {
+        scanner.scan_into(&input, &mut out, &rec, &rec_spec);
+        assert_eq!(out, rec_expect);
+    });
+    // Warmed scanners do not rebuild the table: one build each, at the
+    // first scan, where the reduction exists.
+    let reduction = sam_core::simd::linrec_reduction_available::<i64>(sam_core::isa::resolved(), 2);
+    let builds = rec_many.table_builds();
+    assert_eq!(builds, u64::from(reduction), "one table build at warm-up");
+    rec_many.scan_into(&input, &mut out, &rec, &rec_spec);
+    assert_eq!(rec_many.table_builds(), builds, "a warmed scanner rebuilt its table");
+}
+
+/// Warms `few` and `many` (one scan each, which grows their arenas), then
+/// asserts that one more scan on `many` allocates, process-wide, no more
+/// than a fixed budget beyond one on `few`.
+fn assert_chunk_scaling_flat(label: &str, few: &CpuScanner, many: &CpuScanner, mut scan: impl FnMut(&CpuScanner)) {
+    scan(few); // warm-up (grows arena)
+    scan(many); // warm-up (grows arena)
+    let allocs_few = all_allocs_during(|| scan(few));
+    let allocs_many = all_allocs_during(|| scan(many));
+
+    // ≥ 128 chunks vs 2 chunks: any per-chunk allocation would add ≥ 126.
     // Thread spawning costs a handful of allocations per scan with some
     // run-to-run jitter, so allow a fixed (chunk-independent) budget.
     assert!(
         allocs_many <= allocs_few + 64 && allocs_many < 256,
-        "allocations scale with chunk count: {allocs_few} for 2 chunks, \
-         {allocs_many} for 2048 chunks"
+        "{label}: allocations scale with chunk count: {allocs_few} for 2 chunks, \
+         {allocs_many} for many"
     );
 }
 
